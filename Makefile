@@ -15,11 +15,12 @@ bench: figures
 
 # One tiny point of every bench family through the experiment runner,
 # under a wall-clock budget -- the CI pulse-check for the measurement
-# stack (see benchmarks/smoke.py).
+# stack (see benchmarks/smoke.py).  The closing bench-diff only checks
+# the BENCH ratios against BENCH_TRAJECTORY.json; it never appends to
+# the tracked trajectory.
 bench-smoke: report-smoke faults-smoke checkpoint-smoke kernel-smoke batch-smoke top-smoke serve-smoke chaos-smoke
 	PYTHONPATH=src $(PYTHON) benchmarks/smoke.py
-	PYTHONPATH=src $(PYTHON) -m repro bench-diff --update \
-		--note "make bench-smoke"
+	PYTHONPATH=src $(PYTHON) -m repro bench-diff
 
 # Telemetry pulse-check: run the report CLI on a tiny 2x2 mesh and
 # re-validate every artifact (metrics schema, trace-event JSON with

@@ -28,6 +28,7 @@ from repro.faults import CampaignSpec, FaultCampaign, FaultWindow
 from repro.flow.runner import ExperimentRunner
 from repro.network.experiments import TopologyNocBuilder
 from repro.network.topology import mesh
+from repro.store import ResultStore
 
 CHECKPOINT_EVERY = 250
 KILL_DEADLINE = 120.0  # seconds before we give up waiting for a checkpoint
@@ -51,7 +52,7 @@ def sweep_specs():
 
 
 def run_sweep(cache_dir, checkpoint_dir, resume):
-    runner = ExperimentRunner(jobs=1, cache_dir=cache_dir, resume=resume)
+    runner = ExperimentRunner(jobs=1, store=ResultStore(cache_dir))
     campaign = FaultCampaign(
         sweep_specs(),
         runner=runner,
@@ -158,7 +159,7 @@ def main():
         print(
             "checkpoint-smoke: OK -- kill-and-resume matched the uninterrupted "
             f"run ({len(resumed)} campaigns, {runner.cache_hits} served from "
-            f"cache, {runner.resumed_points} from the journal)"
+            f"the store, {len(survived)} journaled before the kill)"
         )
         return 0
 

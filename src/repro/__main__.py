@@ -14,13 +14,14 @@ Usage::
     python -m repro serve --store DIR # HTTP design-space query service
 
 ``figures`` accepts ``--jobs N`` (run sweep points on N worker
-processes) and ``--cache DIR`` (memoize sweep results on disk, keyed by
-config hash -- see docs/PERFORMANCE.md).  Both default off, preserving
-the sequential uncached behaviour.  ``--checkpoint-every N``,
-``--checkpoint-dir DIR`` and ``--resume`` make long campaigns
-crash-safe: completed points are journaled and served from the cache,
-and in-flight campaigns restart from their last deterministic
-checkpoint instead of cycle 0 (see docs/CHECKPOINT.md).
+processes) and ``--cache DIR`` (memoize sweep results in a result
+store at DIR, keyed by config hash -- see docs/PERFORMANCE.md).  Both
+default off, preserving the sequential uncached behaviour.
+``--checkpoint-every N``, ``--checkpoint-dir DIR`` and ``--resume``
+make long campaigns crash-safe: completed points are journaled and
+served from the store, and in-flight campaigns restart from their
+last deterministic checkpoint instead of cycle 0 (see
+docs/CHECKPOINT.md).
 
 ``report`` runs uniform random traffic on a mesh with the full
 telemetry suite attached (see docs/OBSERVABILITY.md) and writes
@@ -261,6 +262,7 @@ def _faults(
     from repro.network.experiments import TopologyNocBuilder
     from repro.network.noc import NocBuildConfig
     from repro.network.topology import mesh
+    from repro.store import ResultStore
 
     if checkpoint_every is not None and not checkpoint_dir:
         checkpoint_dir = cache or ".repro-checkpoints"
@@ -321,7 +323,7 @@ def _faults(
         return 0 if ok else 1
 
     runner = (
-        ExperimentRunner(jobs=jobs, cache_dir=cache)
+        ExperimentRunner(jobs=jobs, store=ResultStore(cache) if cache else None)
         if jobs > 1 or cache
         else None
     )
@@ -447,8 +449,8 @@ def main(argv=None) -> int:
         "--cache",
         default=None,
         metavar="DIR",
-        help="figures: memoize sweep results in DIR keyed by config "
-        "hash (default: no cache)",
+        help="figures: memoize sweep results in a result store at DIR, "
+        "keyed by config hash (default: no cache)",
     )
     parser.add_argument(
         "--checkpoint-every",
@@ -673,6 +675,11 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     if args.command == "serve":
+        if args.serve_workers < 1:
+            parser.error(
+                f"--serve-workers must be >= 1 worker process, "
+                f"got {args.serve_workers}"
+            )
         return _serve(
             store_dir=args.store,
             host=args.host,

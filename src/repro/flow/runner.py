@@ -4,20 +4,23 @@ Every sweep in the benchmarks decomposes into independent "build a NoC,
 run it, summarise" points.  :class:`ExperimentRunner` executes a batch
 of such points
 
-* **in parallel** across worker processes when ``jobs > 1`` -- one
-  short-lived process per point, so a worker that dies (segfault, OOM
-  kill, unhandled exception) takes down only its own point,
-* **memoized on disk** when a ``cache_dir`` is configured: each point's
-  result is pickled under a sha256 key derived from the *identity* of
-  the work (function qualname + arguments + salt), so re-generating
-  figures after an unrelated edit costs nothing,
+* **in parallel** when ``jobs > 1``, on the one process pool of the
+  library: the supervised work-stealing farm of
+  :class:`repro.serve.WorkStealingDispatcher` -- ``jobs`` long-lived
+  worker processes with heartbeats, crash isolation, bounded respawns
+  and poison-point quarantine,
+* **memoized** when a ``store`` (:class:`repro.store.ResultStore`) is
+  configured: each point's result is a sha256-verified record under a
+  key derived from the *identity* of the work (function qualname +
+  arguments + salt), so re-generating figures after an unrelated edit
+  costs nothing,
 * **resiliently**: per-point wall-clock ``timeout``, bounded ``retries``
-  with exponential backoff, and a ``runs.jsonl`` journal in the cache
-  directory recording every completion and failure.  Results stream
-  into the cache and journal *as points finish*, so killing a sweep
+  with exponential backoff, and a ``runs.jsonl`` journal in the store
+  root recording every completion and failure.  Results stream into
+  the store and journal *as points finish*, so killing a sweep
   mid-flight loses none of the completed points -- re-running with the
-  same cache directory (or ``resume=True``) picks up where it stopped.
-  See ``docs/CHECKPOINT.md`` and ``docs/RESILIENCE.md``.
+  same store picks up where it stopped.  See ``docs/CHECKPOINT.md`` and
+  ``docs/RESILIENCE.md``.
 
 The cache key is built by :func:`stable_repr`, which canonicalises
 dataclasses, enums, dicts/sets (sorted), callables (by qualname) and
@@ -25,10 +28,10 @@ objects exposing a ``cache_token()`` method.  Invalidation is by
 construction: change any argument -- or bump
 :data:`ExperimentRunner.salt` / the library's :data:`CACHE_VERSION` --
 and the key changes.  See ``docs/PERFORMANCE.md`` for the rules and for
-what is deliberately *not* hashed (code bodies: delete the cache
+what is deliberately *not* hashed (code bodies: delete the store
 directory after editing measurement code).
 
-All knobs default off (``jobs=1``, no cache, no timeout, no retries),
+All knobs default off (``jobs=1``, no store, no timeout, no retries),
 so existing sequential behaviour is unchanged unless a caller -- or
 ``python -m repro figures --jobs N --cache DIR`` via
 :meth:`ExperimentRunner.from_env` -- opts in.
@@ -41,22 +44,16 @@ import enum
 import functools
 import hashlib
 import json
-import multiprocessing
 import os
-import pickle
 import random
-import tempfile
 import time
 import traceback
-import warnings
-from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _connection_wait
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 #: Bumped when the library changes in ways that invalidate cached
 #: results wholesale (e.g. measurement-semantics fixes).  v2: sweep
-#: points now carry a :class:`RunManifest`, so pre-manifest pickles must
+#: points now carry a :class:`RunManifest`, so pre-manifest results must
 #: not be served.
 CACHE_VERSION = 2
 
@@ -116,48 +113,6 @@ def stable_repr(obj: Any) -> str:
     return f"opaque({type(obj).__module__}.{type(obj).__qualname__})"
 
 
-def _pipe_worker(conn, fn: Callable[[Any], Any], point: Any) -> None:
-    """Worker-process entry: run one point, report through the pipe.
-
-    Sends ``("ok", seconds, result, events)`` on success.  On any
-    exception sends ``("error", seconds, exc, summary, traceback_text,
-    events)``, falling back to ``exc=None`` when the exception itself
-    does not pickle.  ``events`` is the list of structured telemetry
-    records (``repro.telemetry.events``) the point emitted -- campaign
-    checkpoints, lane batches -- which the parent merges into its own
-    ``events.jsonl``.  If the process dies before sending anything
-    (segfault, SIGKILL) the parent sees EOF and classifies the point as
-    a crash.
-    """
-    from repro.telemetry import events as _events
-
-    # Shadow any sink inherited across fork (the parent's open
-    # events.jsonl writer): this worker's records travel over the pipe.
-    collector = _events.install_sink(_events.EventCollector())
-    t0 = time.perf_counter()
-    try:
-        result = fn(point)
-        conn.send(("ok", time.perf_counter() - t0, result, collector.records))
-    except BaseException as exc:  # noqa: BLE001 -- report, parent decides
-        seconds = time.perf_counter() - t0
-        summary = f"{type(exc).__name__}: {exc}"
-        tb = traceback.format_exc()
-        try:
-            conn.send(("error", seconds, exc, summary, tb, collector.records))
-        except Exception:
-            # The exception (or its payload) does not pickle; downgrade
-            # to text so the parent still learns what happened.
-            try:
-                conn.send(("error", seconds, None, summary, tb, collector.records))
-            except Exception:
-                pass
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
-
-
 @dataclass
 class PointReport:
     """Wall-clock accounting for one executed (or cache-served) point."""
@@ -209,7 +164,7 @@ class RunManifest:
 
     Answers "where did this number come from?" long after the sweep: the
     cache key identifies the exact work, ``cached`` says whether this
-    process computed it or served a pickle, ``seconds`` is the compute
+    process computed it or served a stored record, ``seconds`` is the compute
     cost (0 for cache hits), and the version pair pins the library state
     the result was produced under.  :meth:`ExperimentRunner.map` stores
     one per point, in input order, in ``last_manifests``;
@@ -235,18 +190,6 @@ class RunManifest:
         )
 
 
-def _env_flag(name: str, raw: Optional[str]) -> bool:
-    """Parse a boolean environment variable strictly."""
-    if raw is None or raw == "":
-        return False
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"{name} must be a boolean flag (0/1/true/false), got {raw!r}")
-
-
 @dataclass
 class ExperimentRunner:
     """Fan independent experiment points out; memoize their results.
@@ -256,27 +199,31 @@ class ExperimentRunner:
     jobs:
         Worker process count; ``1`` (default) runs inline in this
         process, which keeps everything debuggable and imposes no
-        picklability requirement.  With ``jobs > 1`` each point runs in
-        its own short-lived process, so a dying worker is isolated.
-    cache_dir:
-        Directory for pickled results; ``None`` (default) disables
-        memoization.  Created on first use.  Also hosts the
-        ``runs.jsonl`` journal.
+        picklability requirement.  With ``jobs > 1`` the batch goes to
+        the supervised work-stealing farm
+        (:class:`repro.serve.WorkStealingDispatcher` with
+        ``workers=jobs``): long-lived workers, each isolated from its
+        siblings, so a dying worker costs only the point it held.  The
+        farm's failure model applies to every such sweep -- including
+        poison-point quarantine: a point that kills 3 consecutive
+        workers fails as ``"poisoned"`` instead of being retried.
     store:
-        Optional :class:`repro.store.ResultStore`: the shared,
-        sha256-verified content-addressed tier (docs/SERVICE.md).  When
-        set it is consulted before the private ``cache_dir`` pickles
-        and every computed result is published to it, so many runners
-        -- possibly on many hosts -- pool their work.  With a store
-        and no ``cache_dir``, the journal and event stream live in the
-        store's root directory.
+        Optional :class:`repro.store.ResultStore`, the one result cache:
+        sha256-verified, content-addressed records (docs/SERVICE.md).
+        When set, every point is looked up there first and every
+        computed result is published to it, so many runners -- possibly
+        on many hosts -- pool their work.  A damaged record is
+        quarantined by the store (``corrupt_records``) and recomputed.
+        The ``runs.jsonl`` journal and the event stream live in the
+        store's root directory.  ``None`` (default) disables
+        memoization.
     salt:
         Extra string mixed into every cache key -- a manual
         invalidation lever for callers.
     timeout:
         Per-point wall-clock limit in seconds.  Enforced only when
-        ``jobs > 1`` (a timed-out worker is terminated); inline
-        execution cannot be preempted and ignores it.
+        ``jobs > 1`` (a timed-out worker is killed and respawned);
+        inline execution cannot be preempted and ignores it.
     retries:
         How many times a failed point is re-attempted (so a point runs
         at most ``retries + 1`` times).  Re-attempts are delayed by
@@ -293,33 +240,27 @@ class ExperimentRunner:
         retry storms without costing reproducibility.  ``0`` disables.
     on_failure:
         ``"raise"`` (default): after *all* points have finished (so
-        completed siblings are cached and journaled), re-raise the
+        completed siblings are stored and journaled), re-raise the
         first failure's exception.  ``"record"``: never raise; failed
         points yield ``None`` results and a :class:`PointFailure` in
         ``failures``.
-    resume:
-        Consult the ``runs.jsonl`` journal before running: points whose
-        key is journaled ``ok`` (and whose cached pickle is readable)
-        are served without recomputation and counted in
-        ``resumed_points``.
     metrics:
         Optional :class:`repro.telemetry.registry.MetricsRegistry`;
         when set, ``runner.retries`` / ``runner.timeouts`` /
-        ``runner.crashes`` / ``runner.failures`` /
-        ``runner.corrupt_cache_entries`` counters are kept there too.
+        ``runner.crashes`` / ``runner.stalls`` / ``runner.failures``
+        counters are kept there too.
     events_path:
         Structured event stream destination
         (``repro.telemetry.events``, schema
         ``repro.telemetry.events/v1``).  Defaults to
-        ``<cache_dir>/events.jsonl`` whenever a cache directory is
-        configured; set explicitly to stream without a cache, or to
-        ``""`` to disable streaming entirely.  Workers ship their
-        events back over the result pipe; the parent merges everything
-        into one append-only file that ``python -m repro top`` tails.
+        ``<store root>/events.jsonl`` whenever a store is configured;
+        set explicitly to stream without a store, or to ``""`` to
+        disable streaming entirely.  Workers ship their events back
+        over their pipes; the parent merges everything into one
+        append-only file that ``python -m repro top`` tails.
     """
 
     jobs: int = 1
-    cache_dir: Optional[str] = None
     store: Optional[Any] = None
     salt: str = ""
     timeout: Optional[float] = None
@@ -327,7 +268,6 @@ class ExperimentRunner:
     backoff: float = 0.5
     backoff_jitter: float = 0.1
     on_failure: str = "raise"
-    resume: bool = False
     metrics: Optional[Any] = None
     events_path: Optional[str] = None
     reports: List[PointReport] = field(default_factory=list)
@@ -339,13 +279,10 @@ class ExperimentRunner:
     crash_count: int = 0
     stall_count: int = 0
     failure_count: int = 0
-    corrupt_cache_entries: int = 0
-    resumed_points: int = 0
     #: Per-point provenance for the most recent :meth:`map` call, in
     #: input order (unlike ``reports``, which accumulates across calls
     #: in completion order).  Failed points carry no manifest.
     last_manifests: List[RunManifest] = field(default_factory=list)
-    _warned_corrupt: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -370,9 +307,9 @@ class ExperimentRunner:
         inside pytest-collected benchmarks).
 
         Recognised: ``REPRO_JOBS`` (positive int), ``REPRO_CACHE``
-        (directory), ``REPRO_TIMEOUT`` (seconds), ``REPRO_RETRIES``
-        (non-negative int), ``REPRO_RESUME`` (boolean flag).  Invalid
-        values raise :class:`ValueError` naming the variable.
+        (a :class:`~repro.store.ResultStore` directory), ``REPRO_TIMEOUT``
+        (seconds), ``REPRO_RETRIES`` (non-negative int).  Invalid values
+        raise :class:`ValueError` naming the variable.
         """
         raw = os.environ.get("REPRO_JOBS", "1") or "1"
         try:
@@ -410,14 +347,12 @@ class ExperimentRunner:
             raise ValueError(
                 f"REPRO_RETRIES must be a non-negative integer, got {retries}"
             )
-        resume = _env_flag("REPRO_RESUME", os.environ.get("REPRO_RESUME"))
-        return cls(
-            jobs=jobs,
-            cache_dir=cache,
-            timeout=timeout,
-            retries=retries,
-            resume=resume,
-        )
+        store = None
+        if cache is not None:
+            from repro.store import ResultStore
+
+            store = ResultStore(cache)
+        return cls(jobs=jobs, store=store, timeout=timeout, retries=retries)
 
     # -- telemetry --------------------------------------------------------
     def _count(self, name: str, attr: str) -> None:
@@ -435,8 +370,8 @@ class ExperimentRunner:
         different functions would share a cache key, and a shared
         :class:`~repro.store.ResultStore` would then serve a
         wrong-function hit to another host.  Enforced only when results
-        are memoized (``cache_dir`` or ``store`` configured): without a
-        cache the keys are reporting labels, nothing is served by them.
+        are memoized (a ``store`` configured): without a store the keys
+        are reporting labels, nothing is served by them.
         """
         probe = fn
         while isinstance(probe, functools.partial):
@@ -465,74 +400,13 @@ class ExperimentRunner:
         )
         return hashlib.sha256(ident.encode()).hexdigest()
 
-    def _cache_path(self, key: str) -> str:
-        assert self.cache_dir is not None
-        return os.path.join(self.cache_dir, f"{key}.pkl")
-
-    def _cache_load(self, key: str) -> "tuple[bool, Any]":
-        if self.store is not None:
-            hit, value = self.store.get(key)
-            if hit:
-                return True, value
-        if self.cache_dir is None:
-            return False, None
-        path = self._cache_path(key)
-        try:
-            with open(path, "rb") as f:
-                return True, pickle.load(f)
-        except FileNotFoundError:
-            return False, None
-        except (OSError, pickle.PickleError, EOFError, AttributeError,
-                ImportError, IndexError):
-            # The entry exists but cannot be served: quarantine it so
-            # the evidence survives for debugging and the recomputed
-            # result can be published cleanly at the original path.
-            self._count("corrupt_cache_entries", "corrupt_cache_entries")
-            try:
-                os.replace(path, f"{path[:-len('.pkl')]}.corrupt")
-            except OSError:
-                pass
-            if not self._warned_corrupt:
-                self._warned_corrupt = True
-                warnings.warn(
-                    f"experiment cache entry {key[:12]}... in {self.cache_dir} "
-                    "is unreadable; quarantined as *.corrupt and recomputing "
-                    "(further corrupt entries this run are counted silently)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return False, None
-
-    def _cache_store(self, key: str, result: Any) -> None:
-        if self.store is not None:
-            self.store.put(key, result)
-        if self.cache_dir is None:
-            return
-        os.makedirs(self.cache_dir, exist_ok=True)
-        # Atomic publish: concurrent runners may race on the same key.
-        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                pickle.dump(result, f)
-            os.replace(tmp, self._cache_path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
     # -- journal ----------------------------------------------------------
     @property
     def journal_path(self) -> Optional[str]:
-        """``runs.jsonl`` inside the cache directory -- or, with only a
-        shared store configured, inside the store root (None when fully
-        uncached)."""
-        if self.cache_dir is not None:
-            return os.path.join(self.cache_dir, "runs.jsonl")
-        if self.store is not None:
-            return os.path.join(self.store.root, "runs.jsonl")
-        return None
+        """``runs.jsonl`` inside the store root (None without a store)."""
+        if self.store is None:
+            return None
+        return os.path.join(self.store.root, "runs.jsonl")
 
     def _journal_append(self, record: Dict[str, Any]) -> None:
         path = self.journal_path
@@ -545,7 +419,7 @@ class ExperimentRunner:
             f.flush()
 
     def journal_entries(self) -> Dict[str, Dict[str, Any]]:
-        """Latest journal record per cache key (empty when uncached).
+        """Latest journal record per cache key (empty without a store).
 
         Torn trailing lines (a run killed mid-write) are skipped, not
         fatal: the journal is an append-only ledger and every complete
@@ -578,7 +452,6 @@ class ExperimentRunner:
         timeout: Optional[float] = None,
         retries: Optional[int] = None,
         on_failure: Optional[str] = None,
-        resume: Optional[bool] = None,
     ) -> List[Any]:
         """``[fn(p) for p in points]`` with caching, parallelism and
         failure isolation.
@@ -586,11 +459,11 @@ class ExperimentRunner:
         Results come back in input order.  ``fn`` must be a module-level
         callable (or :func:`functools.partial` over one) when
         ``jobs > 1`` so worker processes can run it; its arguments
-        should be stable_repr-hashable when caching is on.  The keyword
-        arguments override the runner's instance-level defaults for
-        this call only.
+        should be stable_repr-hashable when a store is configured.  The
+        keyword arguments override the runner's instance-level defaults
+        for this call only.
 
-        Completed points are cached and journaled the moment they
+        Completed points are stored and journaled the moment they
         finish, *before* the batch ends -- a killed sweep loses nothing
         already done.  A failing point (exception, timeout, or worker
         death) is retried up to ``retries`` times with exponential
@@ -599,23 +472,26 @@ class ExperimentRunner:
         first failure is re-raised only after every sibling has
         finished.
 
-        The bookkeeping (cache probing, journaling, manifests, event
-        stream, retry accounting) lives in :class:`MapSession`, which
-        the work-stealing dispatcher
-        (:class:`repro.serve.WorkStealingDispatcher`) shares -- only
-        the scheduling differs between the two.
+        With ``jobs > 1`` the whole batch is handed to
+        :class:`repro.serve.WorkStealingDispatcher` (``workers=jobs``);
+        otherwise it runs inline.  Either way the bookkeeping (store
+        probing, journaling, manifests, event stream, retry accounting)
+        lives in :class:`MapSession` -- only the scheduling differs.
         """
+        if self.jobs > 1:
+            from repro.serve.dispatch import WorkStealingDispatcher
+
+            return WorkStealingDispatcher(self, workers=self.jobs).map(
+                fn, points, label,
+                timeout=timeout, retries=retries, on_failure=on_failure,
+            )
         session = MapSession(
             self, fn, points, label,
-            timeout=timeout, retries=retries,
-            on_failure=on_failure, resume=resume,
+            timeout=timeout, retries=retries, on_failure=on_failure,
         )
         session.start()
         try:
-            if session.pending and self.jobs > 1:
-                self._run_pool(session)
-            else:
-                self._run_inline(session)
+            self._run_inline(session)
             session.emit_run_end()
         finally:
             session.close()
@@ -678,141 +554,20 @@ class ExperimentRunner:
                 session.finish_ok(i, attempts, seconds, result)
                 break
 
-    def _run_pool(self, session: "MapSession") -> None:
-        """One process per point with timeout/crash isolation.
-
-        A hand-rolled pool instead of :class:`ProcessPoolExecutor`
-        because the executor cannot survive a dying worker: one SIGKILL
-        poisons the whole pool (``BrokenProcessPool``) and aborts the
-        sweep.  Here each point owns a process and a pipe; a death or
-        deadline affects only that point.
-        """
-        from repro.telemetry import events as _events
-
-        fn, points, keys = session.fn, session.points, session.keys
-        label = session.label
-        eff_timeout = session.timeout
-
-        ctx = multiprocessing.get_context()
-        ready_queue = deque((i, 1) for i in session.pending)  # (index, attempt_no)
-        delayed: List["tuple[float, int, int]"] = []  # (not_before, index, attempt)
-        running: Dict[Any, "tuple[int, int, Any, float]"] = {}  # conn -> (i, attempt, proc, started)
-
-        def handle_failure(i: int, attempt: int, seconds: float, kind: str,
-                           message: str, exc: Optional[BaseException], tb: str) -> None:
-            if session.attempt_failed(i, attempt, seconds, kind, message, exc, tb):
-                not_before = time.monotonic() + session.backoff_delay(i, attempt)
-                delayed.append((not_before, i, attempt + 1))
-
-        finish_ok = session.finish_ok
-
-        try:
-            while ready_queue or delayed or running:
-                now = time.monotonic()
-                if delayed:
-                    due = [d for d in delayed if d[0] <= now]
-                    delayed = [d for d in delayed if d[0] > now]
-                    for _, i, attempt in sorted(due, key=lambda d: d[1]):
-                        ready_queue.append((i, attempt))
-                while ready_queue and len(running) < self.jobs:
-                    i, attempt = ready_queue.popleft()
-                    parent_conn, child_conn = ctx.Pipe(duplex=False)
-                    proc = ctx.Process(
-                        target=_pipe_worker, args=(child_conn, fn, points[i]),
-                        daemon=True,
-                    )
-                    proc.start()
-                    child_conn.close()
-                    running[parent_conn] = (i, attempt, proc, time.monotonic())
-                    _events.emit(
-                        "point_start", label=f"{label}[{i}]", key=keys[i],
-                        attempt=attempt,
-                    )
-                if not running:
-                    if delayed:
-                        time.sleep(max(0.0, min(d[0] for d in delayed) - time.monotonic()))
-                    continue
-
-                # Bound the wait by the nearest deadline / backoff expiry.
-                wait_for = 0.2
-                now = time.monotonic()
-                if eff_timeout is not None:
-                    nearest = min(started + eff_timeout for _, _, _, started in running.values())
-                    wait_for = min(wait_for, max(0.0, nearest - now))
-                if delayed:
-                    wait_for = min(wait_for, max(0.0, min(d[0] for d in delayed) - now))
-                ready = _connection_wait(list(running), timeout=wait_for)
-
-                for conn in ready:
-                    i, attempt, proc, started = running.pop(conn)
-                    seconds = time.monotonic() - started
-                    try:
-                        msg = conn.recv()
-                    except (EOFError, OSError):
-                        msg = None
-                    conn.close()
-                    proc.join()
-                    if msg is None:
-                        code = proc.exitcode
-                        handle_failure(
-                            i, attempt, seconds, "crash",
-                            f"worker died without reporting (exitcode {code})",
-                            None, "",
-                        )
-                    elif msg[0] == "ok":
-                        _, fn_seconds, result, wevents = msg
-                        _events.forward(wevents)
-                        finish_ok(i, attempt, fn_seconds, result)
-                    else:
-                        _, fn_seconds, exc, summary, tb, wevents = msg
-                        _events.forward(wevents)
-                        handle_failure(i, attempt, fn_seconds, "error", summary, exc, tb)
-
-                if eff_timeout is None:
-                    continue
-                now = time.monotonic()
-                for conn, (i, attempt, proc, started) in list(running.items()):
-                    if now - started < eff_timeout:
-                        continue
-                    running.pop(conn)
-                    proc.terminate()
-                    proc.join(1.0)
-                    if proc.is_alive():
-                        proc.kill()
-                        proc.join()
-                    conn.close()
-                    handle_failure(
-                        i, attempt, now - started, "timeout",
-                        f"exceeded {eff_timeout:g}s wall-clock limit", None, "",
-                    )
-        finally:
-            # Never leak workers, whatever interrupted the loop.
-            for _, (_, _, proc, _) in list(running.items()):
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(1.0)
-                    if proc.is_alive():
-                        proc.kill()
-                        proc.join()
-
     # -- reporting --------------------------------------------------------
     def render_report(self, title: str = "experiment runner") -> str:
         """Per-point wall-clock table plus hit/miss and failure totals."""
         lines = [
             f"{title}: jobs={self.jobs} "
-            f"cache={'off' if self.cache_dir is None else self.cache_dir} "
             f"store={'off' if self.store is None else self.store.root} "
             f"hits={self.cache_hits} misses={self.cache_misses}",
         ]
         if (self.retry_count or self.timeout_count or self.crash_count
-                or self.stall_count or self.failure_count
-                or self.corrupt_cache_entries or self.resumed_points):
+                or self.stall_count or self.failure_count):
             lines.append(
                 f"  resilience: retries={self.retry_count} "
                 f"timeouts={self.timeout_count} crashes={self.crash_count} "
-                f"stalls={self.stall_count} failures={self.failure_count} "
-                f"corrupt_cache_entries={self.corrupt_cache_entries} "
-                f"resumed={self.resumed_points}"
+                f"stalls={self.stall_count} failures={self.failure_count}"
             )
         for r in self.reports:
             status = "cached" if r.cached else f"{r.seconds:8.3f}s"
@@ -828,16 +583,16 @@ class ExperimentRunner:
 class MapSession:
     """Bookkeeping for one batch of points, shared across schedulers.
 
-    :meth:`ExperimentRunner.map` and the work-stealing dispatcher
-    (:class:`repro.serve.WorkStealingDispatcher`) schedule work very
-    differently -- one process per point vs. long-lived workers pulling
-    from shards -- but everything *around* the scheduling is identical
-    and lives here: effective retry/timeout configuration, cache keys
-    and cache probing, the streamed cache/journal/manifest updates as
-    points finish, retry accounting, the telemetry event stream, and
-    the deferred first-failure re-raise.
+    The two schedulers -- the inline loop of :meth:`ExperimentRunner.map`
+    (``jobs == 1``) and the work-stealing farm
+    (:class:`repro.serve.WorkStealingDispatcher`, ``jobs > 1``) -- differ
+    only in *where* attempts run.  Everything around the scheduling is
+    identical and lives here: effective retry/timeout configuration,
+    cache keys and store probing, the streamed store/journal/manifest
+    updates as points finish, retry accounting, the telemetry event
+    stream, and the deferred first-failure re-raise.
 
-    Lifecycle: construct (probes the cache, classifying every point as
+    Lifecycle: construct (probes the store, classifying every point as
     a hit or ``pending``), :meth:`start` (opens the event stream and
     emits ``run_start`` plus the cache-hit ``point_end`` records), then
     the scheduler calls :meth:`finish_ok` / :meth:`attempt_failed` as
@@ -856,7 +611,6 @@ class MapSession:
         timeout: Optional[float] = None,
         retries: Optional[int] = None,
         on_failure: Optional[str] = None,
-        resume: Optional[bool] = None,
     ) -> None:
         self.runner = runner
         self.fn = fn
@@ -865,7 +619,6 @@ class MapSession:
         self.timeout = runner.timeout if timeout is None else timeout
         self.retries = runner.retries if retries is None else retries
         self.on_failure = runner.on_failure if on_failure is None else on_failure
-        self.resume = runner.resume if resume is None else resume
         if self.on_failure not in ("raise", "record"):
             raise ValueError(
                 f"on_failure must be 'raise' or 'record', got {self.on_failure!r}"
@@ -873,7 +626,7 @@ class MapSession:
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
 
-        if runner.cache_dir is not None or runner.store is not None:
+        if runner.store is not None:
             runner._check_keyable_fn(fn)
         self.keys = [runner._key(fn, p) for p in points]
         # Deterministic jitter seed: a function of *what* is being run,
@@ -893,13 +646,11 @@ class MapSession:
         self.pending: List[int] = []
         self._writer: Optional[Any] = None
 
-        journal = runner.journal_entries() if self.resume else {}
+        store = runner.store
         for i, key in enumerate(self.keys):
-            hit, value = runner._cache_load(key)
+            hit, value = store.get(key) if store is not None else (False, None)
             if hit:
                 runner.cache_hits += 1
-                if self.resume and journal.get(key, {}).get("status") == "ok":
-                    runner._count("resumed_points", "resumed_points")
                 self.results[i] = value
                 self.manifests[i] = RunManifest.local(key, cached=True, seconds=0.0)
                 runner.reports.append(
@@ -935,8 +686,6 @@ class MapSession:
         runner = self.runner
         if runner.events_path is not None:
             return runner.events_path or None  # "" disables streaming
-        if runner.cache_dir is not None:
-            return os.path.join(runner.cache_dir, "events.jsonl")
         if runner.store is not None:
             return os.path.join(runner.store.root, "events.jsonl")
         return None
@@ -987,7 +736,8 @@ class MapSession:
         runner.reports.append(
             PointReport(f"{self.label}[{i}]", self.keys[i], seconds, cached=False)
         )
-        runner._cache_store(self.keys[i], result)
+        if runner.store is not None:
+            runner.store.put(self.keys[i], result)
         runner._journal_append(
             {
                 "status": "ok",

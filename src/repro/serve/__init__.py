@@ -4,10 +4,12 @@ ROADMAP item 3: promote the sweep farm into a queryable shared system.
 Three pieces, layered on the result store (:mod:`repro.store`):
 
 * :class:`WorkStealingDispatcher` (:mod:`repro.serve.dispatch`) --
-  long-lived worker processes pulling sweep points from per-worker
-  shards and stealing from stragglers, reusing the
+  the library's one process pool: long-lived, supervised worker
+  processes pulling sweep points from per-worker shards and stealing
+  from stragglers, reusing the
   :class:`~repro.flow.runner.ExperimentRunner` retry/timeout/journal
-  machinery through :class:`~repro.flow.runner.MapSession`;
+  machinery through :class:`~repro.flow.runner.MapSession`.  Every
+  ``ExperimentRunner(jobs > 1)`` sweep runs here too;
 * :class:`QueryEngine` (:mod:`repro.serve.service`) -- design-space
   queries ("cheapest 5x5 config >= 800 MHz under this traffic")
   answered from the store when every point is present, admission-

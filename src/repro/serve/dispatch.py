@@ -1,10 +1,12 @@
 """Work-stealing dispatch of sweep points over long-lived workers.
 
-:meth:`ExperimentRunner.map` spawns one short-lived process per point
--- maximal isolation, but every point pays a process startup, and a
-static partition of a sweep would leave early-finishing workers idle
-while a straggler grinds through its share.  This dispatcher is the
-farm tier of the DSE service (docs/SERVICE.md):
+This dispatcher is the library's one process pool: every parallel
+sweep runs here, whether it comes from :meth:`ExperimentRunner.map`
+with ``jobs > 1`` (which hands its batch over with ``workers=jobs``) or
+from the farm tier of the DSE service (docs/SERVICE.md).  A static
+partition of a sweep would leave early-finishing workers idle while a
+straggler grinds through its share, and a process per point would pay
+a process startup every time, so:
 
 * ``workers`` **long-lived processes**, each fed over its own duplex
   pipe, amortize interpreter/import startup across many points;
@@ -19,7 +21,7 @@ farm tier of the DSE service (docs/SERVICE.md):
 * everything around the scheduling -- cache/store probing, streamed
   journal and manifest updates, bounded retries with seeded-jitter
   exponential backoff, per-point wall-clock timeouts (the worker is
-  terminated and respawned; only the point it held is re-attempted),
+  killed and respawned; only the point it held is re-attempted),
   crash isolation, the deferred first-failure re-raise -- is the
   *runner's own* machinery, reused through
   :class:`~repro.flow.runner.MapSession`.
@@ -60,6 +62,7 @@ through the ``chaos`` hook object (see :mod:`repro.chaos`); with
 from __future__ import annotations
 
 import multiprocessing
+import os
 import threading
 import time
 import traceback
@@ -81,27 +84,35 @@ def _worker_main(conn, heartbeat: float = DEFAULT_HEARTBEAT) -> None:
     """Long-lived worker loop: run points until told to stop.
 
     Messages in: ``("run", i, fn, point)`` or ``("stop",)``.  Messages
-    out mirror the runner's one-shot worker protocol: ``("ok", i,
-    seconds, result, events)`` on success, ``("error", i, seconds, exc,
-    summary, traceback_text, events)`` on an exception (with ``exc``
-    downgraded to None when it does not pickle).  Telemetry events the
-    point emits are collected and shipped back with the result, exactly
-    like :func:`repro.flow.runner._pipe_worker`.
+    out: ``("ok", i, seconds, result, events)`` on success, ``("error",
+    i, seconds, exc, summary, traceback_text, events)`` on an exception
+    (with ``exc`` downgraded to None when it does not pickle).  The
+    telemetry events the point emits (``repro.telemetry.events``:
+    campaign checkpoints, lane batches) are collected and shipped back
+    with the result; the parent merges them into its own
+    ``events.jsonl``.  A worker that dies mid-point (segfault, SIGKILL)
+    sends nothing: the parent sees EOF and classifies a crash.
 
     While a point is executing, a daemon thread additionally sends
     ``("hb",)`` every ``heartbeat`` seconds -- the liveness signal the
     parent's supervisor watches.  A stopped or wedged process stops
     beating (SIGSTOP freezes every thread), which is exactly what makes
-    the stall detectable.
+    the stall detectable.  The same thread exits the worker once its
+    parent is gone: siblings forked later inherit the parent's end of
+    this worker's pipe, so a SIGKILLed parent never produces the EOF
+    that would otherwise stop it.
     """
     from repro.telemetry import events as _events
 
+    parent = os.getppid()
     send_lock = threading.Lock()
     working = threading.Event()
     shutdown = threading.Event()
 
     def _beat() -> None:
         while not shutdown.wait(heartbeat):
+            if os.getppid() != parent:
+                os._exit(1)  # orphaned: nobody will ever stop us
             if not working.is_set():
                 continue
             try:
@@ -222,12 +233,13 @@ class _Worker:
 class WorkStealingDispatcher:
     """Shard a batch over long-lived workers; steal from stragglers.
 
-    Drop-in for an :class:`ExperimentRunner` wherever a ``runner`` is
-    accepted (``explore_design_space(runner=...)``,
-    ``load_sweep(runner=...)``): it exposes the same :meth:`map`
-    contract -- results in input order, caching, retries, timeouts,
-    journal, ``last_manifests`` -- because the bookkeeping *is* the
-    runner's, via :class:`~repro.flow.runner.MapSession`.
+    :meth:`ExperimentRunner.map` with ``jobs > 1`` delegates here, and
+    the class is also a drop-in for a runner wherever one is accepted
+    (``explore_design_space(runner=...)``, ``load_sweep(runner=...)``):
+    it exposes the same :meth:`map` contract -- results in input order,
+    caching, retries, timeouts, journal, ``last_manifests`` -- because
+    the bookkeeping *is* the runner's, via
+    :class:`~repro.flow.runner.MapSession`.
 
     Parameters: ``runner`` supplies configuration and owns the
     cache/store/journal; ``workers`` is the pool width (defaults to
@@ -315,13 +327,11 @@ class WorkStealingDispatcher:
         timeout: Optional[float] = None,
         retries: Optional[int] = None,
         on_failure: Optional[str] = None,
-        resume: Optional[bool] = None,
     ) -> List[Any]:
         """``runner.map`` semantics under work-stealing scheduling."""
         session = MapSession(
             self.runner, fn, points, label,
-            timeout=timeout, retries=retries,
-            on_failure=on_failure, resume=resume,
+            timeout=timeout, retries=retries, on_failure=on_failure,
         )
         session.start()
         try:

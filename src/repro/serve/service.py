@@ -368,9 +368,10 @@ class QueryEngine:
     point is read (and sha256-verified) straight out of the
     :class:`~repro.store.ResultStore`.  Queries with missing points go
     through an :class:`~repro.flow.runner.ExperimentRunner` bound to
-    the store -- under a :class:`~repro.serve.WorkStealingDispatcher`
-    when ``workers > 1`` -- so the misses are computed once, published,
-    and journaled like any sweep.
+    the store with ``jobs=workers`` -- so on the work-stealing farm
+    (:class:`~repro.serve.WorkStealingDispatcher`) when ``workers > 1``,
+    inline in this process when ``workers == 1`` -- and the misses are
+    computed once, published, and journaled like any sweep.
 
     The farm path is guarded by a :class:`CircuitBreaker` (one is
     constructed per engine unless injected): consecutive dispatch
@@ -388,6 +389,10 @@ class QueryEngine:
         metrics: Optional[Any] = None,
         breaker: Optional[CircuitBreaker] = None,
     ) -> None:
+        if workers < 1:
+            raise ValueError(
+                f"workers must be a positive process count (>= 1), got {workers}"
+            )
         self.store = store
         self.workers = workers
         self.timeout = timeout
@@ -407,6 +412,7 @@ class QueryEngine:
 
     def make_runner(self, events_path: Optional[str] = None) -> ExperimentRunner:
         return ExperimentRunner(
+            jobs=self.workers,
             store=self.store,
             salt=self.salt,
             timeout=self.timeout,
@@ -556,14 +562,9 @@ class QueryEngine:
                 self.farm_queries += 1
                 self._count("farm_queries")
                 runner = self.make_runner(events_path=events_path)
-                mapper: Any = runner
-                if self.workers > 1:
-                    from repro.serve.dispatch import WorkStealingDispatcher
-
-                    mapper = WorkStealingDispatcher(runner, workers=self.workers)
                 combos = self.combos(spec)
                 try:
-                    computed = mapper.map(
+                    computed = runner.map(
                         _evaluate_design_point,
                         [combos[i] for i in missing],
                         label="query",

@@ -1,15 +1,14 @@
-"""Content-addressed result store: the DSE service's shared memory.
+"""Content-addressed result store: the library's one result cache.
 
-The :class:`ExperimentRunner` cache (PR 1/5) memoizes per-point results
-as bare pickles in a private directory.  That is enough for one host
-re-generating its own figures, but the design-space service
-(``python -m repro serve``, docs/SERVICE.md) needs a *shared* tier:
-many dispatchers and one HTTP front end reading and writing the same
-directory, possibly over a network filesystem, with no way to tell a
-half-written file from a result and no inventory of what is in there.
+Every memoized result -- an :class:`ExperimentRunner` sweep point
+re-served to ``python -m repro figures --cache DIR``, or a design point
+shared by the DSE service (``python -m repro serve``, docs/SERVICE.md)
+-- lives in a :class:`ResultStore`.  Many dispatchers and one HTTP
+front end may read and write the same directory, possibly over a
+network filesystem, so every record must tell a half-written file from
+a result, and the directory keeps an inventory of what is in it.
 
-:class:`ResultStore` is that tier -- see :mod:`repro.store.cas` for the
-on-disk format (sha256-verified records, atomic publishes, an
+See :mod:`repro.store.cas` for the on-disk format (sha256-verified records, atomic publishes, an
 append-only manifest index, garbage collection and compaction).
 """
 

@@ -20,10 +20,9 @@ Every record is self-verifying: the header carries the sha256 and byte
 size of the pickle payload, checked on every read.  A record that
 fails any check (bad magic, torn header, short payload, digest
 mismatch, unpicklable payload) is **quarantined** by renaming it to
-``*.corrupt`` -- the same convention the runner's private cache uses --
-and reported as a miss, so a recomputed result can be published
-cleanly at the original path and the damaged evidence survives for
-debugging.
+``*.corrupt`` and reported as a miss, so a recomputed result can be
+published cleanly at the original path and the damaged evidence
+survives for debugging.
 
 Writes are atomic (``tempfile`` + ``os.replace`` in the objects
 directory), so concurrent publishers racing on one key settle

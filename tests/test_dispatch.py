@@ -3,6 +3,8 @@
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -37,6 +39,23 @@ def _hang(x):
 
 def _die(x):
     os._exit(17)
+
+
+def _note_pid_then_sleep(point):
+    """Leave ``pid-<pid>`` in the point's directory, then work a while."""
+    directory, _ = point
+    open(os.path.join(directory, f"pid-{os.getpid()}"), "w").close()
+    time.sleep(0.5)
+    return os.getpid()
+
+
+def _running(pid):
+    """Alive and not a zombie (an unreaped orphan counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class TestMapContract:
@@ -273,6 +292,43 @@ class TestSupervision:
                 break
             time.sleep(0.05)
         assert leaked == []
+
+
+    @pytest.mark.timeout_guard(90)
+    def test_workers_exit_when_the_parent_is_sigkilled(self, tmp_path):
+        """A SIGKILLed sweep leaves no workers behind: siblings hold the
+        dead parent's pipe ends, so the workers watch their parent."""
+        pids_dir = tmp_path / "pids"
+        pids_dir.mkdir()
+        script = tmp_path / "sweep.py"
+        script.write_text(
+            "from repro.flow.runner import ExperimentRunner\n"
+            "from tests.test_dispatch import _note_pid_then_sleep\n"
+            f"points = [({str(pids_dir)!r}, k) for k in range(40)]\n"
+            "ExperimentRunner(jobs=2).map(_note_pid_then_sleep, points)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(os.getcwd(), "src"), os.getcwd(),
+                        env.get("PYTHONPATH", "")) if p
+        )
+        proc = subprocess.Popen([sys.executable, str(script)], env=env)
+        try:
+            deadline = time.monotonic() + 60
+            while len(os.listdir(pids_dir)) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            workers = [int(name[4:]) for name in os.listdir(pids_dir)]
+            assert len(workers) == 2, "the sweep never started both workers"
+            os.kill(proc.pid, signal.SIGKILL)
+        finally:
+            proc.wait(30)
+        deadline = time.monotonic() + 10
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in workers if _running(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert survivors == []
 
 
 class TestStealing:

@@ -30,6 +30,7 @@ from repro.flow.runner import ExperimentRunner
 from repro.network.experiments import TopologyNocBuilder
 from repro.network.noc import NocBuildConfig
 from repro.network.topology import mesh
+from repro.store import ResultStore
 from repro.telemetry import (
     EVENT_TYPES,
     EVENTS_SCHEMA,
@@ -388,7 +389,7 @@ class TestRunnerEvents:
         return records
 
     def test_inline_run_emits_full_lifecycle(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=str(tmp_path))
+        runner = ExperimentRunner(store=ResultStore(tmp_path))
         assert runner.map(_square, [2, 3], label="sq") == [4, 9]
         records = self.events_of(tmp_path)
         kinds = [r["event"] for r in records]
@@ -399,7 +400,7 @@ class TestRunnerEvents:
         assert s["jobs"] == 1
 
     def test_cache_hits_emit_cached_point_end(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=str(tmp_path))
+        runner = ExperimentRunner(store=ResultStore(tmp_path))
         runner.map(_square, [2, 3], label="sq")
         runner.map(_square, [2, 3], label="sq")
         s = replay_summary(self.events_of(tmp_path))
@@ -409,7 +410,7 @@ class TestRunnerEvents:
     def test_inline_retry_and_failure_events(self, tmp_path):
         cache = tmp_path / "cache"
         runner = ExperimentRunner(
-            cache_dir=str(cache), retries=1, backoff=0.0, on_failure="record",
+            store=ResultStore(cache), retries=1, backoff=0.0, on_failure="record",
         )
         marker = str(tmp_path / "marker")
         out = runner.map(
@@ -426,7 +427,7 @@ class TestRunnerEvents:
         assert "first attempt fails" in retry["message"]
 
     def test_pool_forwards_worker_events_with_worker_pid(self, tmp_path):
-        runner = ExperimentRunner(jobs=2, cache_dir=str(tmp_path))
+        runner = ExperimentRunner(jobs=2, store=ResultStore(tmp_path))
         assert runner.map(
             _square_with_worker_event, [2, 3], label="pool",
         ) == [4, 9]
@@ -442,7 +443,7 @@ class TestRunnerEvents:
     def test_pool_retry_emits_events(self, tmp_path):
         cache = tmp_path / "cache"
         runner = ExperimentRunner(
-            jobs=2, cache_dir=str(cache), retries=1, backoff=0.0,
+            jobs=2, store=ResultStore(cache), retries=1, backoff=0.0,
         )
         marker = str(tmp_path / "marker")
         assert runner.map(
@@ -453,13 +454,13 @@ class TestRunnerEvents:
         assert replay_summary(records)["points"]["flaky[0]"]["retries"] == 1
 
     def test_events_path_empty_string_disables_the_stream(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=str(tmp_path), events_path="")
+        runner = ExperimentRunner(store=ResultStore(tmp_path), events_path="")
         runner.map(_square, [2], label="quiet")
         assert not os.path.exists(tmp_path / "events.jsonl")
 
     def test_explicit_events_path_overrides_cache_dir(self, tmp_path):
         path = str(tmp_path / "elsewhere" / "ev.jsonl")
-        runner = ExperimentRunner(cache_dir=str(tmp_path), events_path=path)
+        runner = ExperimentRunner(store=ResultStore(tmp_path), events_path=path)
         runner.map(_square, [2], label="sq")
         assert not os.path.exists(tmp_path / "events.jsonl")
         records = read_events(path)

@@ -3,6 +3,7 @@
 import dataclasses
 import enum
 import functools
+import os
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.flow.runner import (
     stable_repr,
 )
 from repro.network.topology import mesh
+from repro.store import ResultStore
 
 
 def _square(x):
@@ -22,6 +24,17 @@ def _square(x):
 
 def _boom(x):
     raise ValueError(f"point {x} exploded")
+
+
+def _pid(_):
+    return os.getpid()
+
+
+#: The dse_query benchmark's seeding slice: 2 core graphs x 6
+#: topologies x the default 3 flit widths x 2 buffer depths = 72 points.
+_DSE_CORE_GRAPHS = ("multimedia", "telecom")
+_DSE_TOPOLOGIES = ("mesh-2x2", "mesh-3x3", "torus-3x3", "ring-6", "star-5",
+                   "spidergon-6")
 
 
 class TestMap:
@@ -48,9 +61,37 @@ class TestMap:
             runner.map(_boom, [1])
 
 
+class TestOnePool:
+    """``jobs > 1`` runs on the work-stealing farm's long-lived workers,
+    not on a process per point."""
+
+    def test_parallel_map_uses_at_most_jobs_worker_processes(self):
+        pids = ExperimentRunner(jobs=2).map(_pid, list(range(8)))
+        assert len(set(pids)) <= 2
+        assert os.getpid() not in pids
+
+    def test_parallel_dse_sweep_equals_serial(self, tmp_path):
+        from repro.flow.dse import explore_design_space
+        from repro.serve.service import core_graph_from_name, topology_from_name
+
+        pooled = ExperimentRunner(jobs=2, store=ResultStore(tmp_path))
+        serial, farmed = [], []
+        for cg in _DSE_CORE_GRAPHS:
+            fabrics = [topology_from_name(t) for t in _DSE_TOPOLOGIES]
+            serial += explore_design_space(
+                core_graph_from_name(cg), fabrics, runner=ExperimentRunner(jobs=1),
+            )
+            farmed += explore_design_space(
+                core_graph_from_name(cg), fabrics, runner=pooled,
+            )
+        assert len(serial) == 72
+        assert farmed == serial
+        assert len(pooled.store) == 72 and pooled.cache_misses == 72
+
+
 class TestCache:
     def test_miss_then_hit(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=str(tmp_path))
+        runner = ExperimentRunner(store=ResultStore(tmp_path))
         first = runner.map(_square, [3, 4])
         assert (runner.cache_hits, runner.cache_misses) == (0, 2)
         second = runner.map(_square, [3, 4])
@@ -59,51 +100,50 @@ class TestCache:
         assert [r.cached for r in runner.reports] == [False, False, True, True]
 
     def test_cache_survives_runner_instances(self, tmp_path):
-        ExperimentRunner(cache_dir=str(tmp_path)).map(_square, [9])
-        fresh = ExperimentRunner(cache_dir=str(tmp_path))
+        ExperimentRunner(store=ResultStore(tmp_path)).map(_square, [9])
+        fresh = ExperimentRunner(store=ResultStore(tmp_path))
         assert fresh.map(_square, [9]) == [81]
         assert fresh.cache_hits == 1
 
     def test_different_args_miss(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=str(tmp_path))
+        runner = ExperimentRunner(store=ResultStore(tmp_path))
         runner.map(_square, [3])
         runner.map(_square, [4])
         assert runner.cache_hits == 0
 
     def test_different_functions_do_not_collide(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=str(tmp_path))
+        runner = ExperimentRunner(store=ResultStore(tmp_path))
         runner.map(_square, [3])
         assert runner.map(abs, [3]) == [3]  # not 9 served from _square's entry
         assert runner.cache_hits == 0
 
     def test_salt_invalidates(self, tmp_path):
-        ExperimentRunner(cache_dir=str(tmp_path)).map(_square, [3])
-        salted = ExperimentRunner(cache_dir=str(tmp_path), salt="rev2")
+        ExperimentRunner(store=ResultStore(tmp_path)).map(_square, [3])
+        salted = ExperimentRunner(store=ResultStore(tmp_path), salt="rev2")
         salted.map(_square, [3])
         assert salted.cache_misses == 1 and salted.cache_hits == 0
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=str(tmp_path))
+        runner = ExperimentRunner(store=ResultStore(tmp_path))
         runner.map(_square, [3])
-        for p in tmp_path.glob("*.pkl"):
-            p.write_bytes(b"not a pickle")
-        again = ExperimentRunner(cache_dir=str(tmp_path))
-        with pytest.warns(RuntimeWarning, match="quarantined"):
-            assert again.map(_square, [3]) == [9]
+        for p in tmp_path.glob("objects/*/*.rec"):
+            p.write_bytes(b"not a record")
+        again = ExperimentRunner(store=ResultStore(tmp_path))
+        assert again.map(_square, [3]) == [9]
         assert again.cache_misses == 1
-        assert again.corrupt_cache_entries == 1
+        assert again.store.corrupt_records == 1
 
     def test_parallel_runs_populate_the_cache(self, tmp_path):
-        runner = ExperimentRunner(jobs=2, cache_dir=str(tmp_path))
+        runner = ExperimentRunner(jobs=2, store=ResultStore(tmp_path))
         runner.map(_square, [1, 2, 3])
-        sequential = ExperimentRunner(cache_dir=str(tmp_path))
+        sequential = ExperimentRunner(store=ResultStore(tmp_path))
         assert sequential.map(_square, [1, 2, 3]) == [1, 4, 9]
         assert sequential.cache_hits == 3
 
 
 class TestManifests:
     def test_map_records_one_manifest_per_point_in_order(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=str(tmp_path))
+        runner = ExperimentRunner(store=ResultStore(tmp_path))
         runner.map(_square, [3, 4])
         assert len(runner.last_manifests) == 2
         assert [m.cached for m in runner.last_manifests] == [False, False]
@@ -131,7 +171,7 @@ class TestManifests:
         assert len(runner.last_manifests) == 1
 
     def test_parallel_map_still_manifests_in_order(self, tmp_path):
-        runner = ExperimentRunner(jobs=2, cache_dir=str(tmp_path))
+        runner = ExperimentRunner(jobs=2, store=ResultStore(tmp_path))
         runner.map(_square, [1, 2, 3])
         assert len(runner.last_manifests) == 3
         assert all(isinstance(m, RunManifest) for m in runner.last_manifests)
@@ -143,7 +183,7 @@ class TestFromEnv:
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         monkeypatch.delenv("REPRO_CACHE", raising=False)
         runner = ExperimentRunner.from_env()
-        assert runner.jobs == 1 and runner.cache_dir is None
+        assert runner.jobs == 1 and runner.store is None
 
     def test_garbage_jobs_value_names_the_variable(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "abc")
@@ -154,7 +194,7 @@ class TestFromEnv:
         monkeypatch.setenv("REPRO_JOBS", "4")
         monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
         runner = ExperimentRunner.from_env()
-        assert runner.jobs == 4 and runner.cache_dir == str(tmp_path)
+        assert runner.jobs == 4 and runner.store.root == str(tmp_path)
 
 
 class _Color(enum.Enum):
@@ -250,28 +290,26 @@ class TestKeyableGuard:
         assert runner._key(add1, 5) == runner._key(add2, 5)
 
     def test_lambda_rejected_when_caching(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=str(tmp_path / "cache"))
+        runner = ExperimentRunner(store=ResultStore(tmp_path / "cache"))
         with pytest.raises(ValueError, match="lambda"):
             runner.map(lambda x: x, [1])
 
     def test_closure_rejected_when_caching(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=str(tmp_path / "cache"))
+        runner = ExperimentRunner(store=ResultStore(tmp_path / "cache"))
         with pytest.raises(ValueError, match="closure"):
             runner.map(_make_adder(3), [1])
 
     def test_closure_rejected_when_storing(self, tmp_path):
-        from repro.store import ResultStore
-
         runner = ExperimentRunner(store=ResultStore(tmp_path / "store"))
         with pytest.raises(ValueError, match="captured"):
             runner.map(_make_adder(3), [1])
 
     def test_partial_over_named_function_is_fine(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=str(tmp_path / "cache"))
+        runner = ExperimentRunner(store=ResultStore(tmp_path / "cache"))
         assert runner.map(functools.partial(_square), [3]) == [9]
 
     def test_partial_over_lambda_still_rejected(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=str(tmp_path / "cache"))
+        runner = ExperimentRunner(store=ResultStore(tmp_path / "cache"))
         with pytest.raises(ValueError, match="lambda"):
             runner.map(functools.partial(lambda x: x), [1])
 

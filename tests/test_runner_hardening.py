@@ -3,9 +3,9 @@
 Three worker failure modes must each be isolated to their own point --
 the function raising, exceeding the wall-clock timeout, and the worker
 process dying outright (SIGKILL stands in for segfault/OOM) -- while
-completed siblings stay cached and journaled.  On top of that: bounded
-retries with backoff, the ``runs.jsonl`` journal powering ``resume``,
-corrupt-cache quarantine, strict ``from_env`` validation, and
+completed siblings stay stored and journaled.  On top of that: bounded
+retries with backoff, the ``runs.jsonl`` journal, recomputation of
+corrupt store records, strict ``from_env`` validation, and
 kill-and-resume of checkpointed fault campaigns.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import signal
 import time
 
@@ -31,6 +30,7 @@ from repro.faults.injector import FaultWindow
 from repro.flow.runner import ExperimentRunner, PointFailure, stable_repr
 from repro.network.experiments import TopologyNocBuilder
 from repro.network.topology import mesh
+from repro.store import ResultStore
 
 
 def _behave(point):
@@ -59,7 +59,7 @@ def _flaky(point):
 
 class TestFailureIsolation:
     def test_raising_worker_spares_siblings(self, tmp_path):
-        runner = ExperimentRunner(jobs=2, cache_dir=str(tmp_path))
+        runner = ExperimentRunner(jobs=2, store=ResultStore(tmp_path))
         points = [("ok", 1), ("raise", "boom"), ("ok", 3)]
         with pytest.raises(ValueError, match="scripted failure: boom"):
             runner.map(_behave, points, label="pt")
@@ -70,14 +70,16 @@ class TestFailureIsolation:
         failed = [e for e in entries.values() if e["status"] == "failed"]
         assert len(ok) == 2 and len(failed) == 1
         assert failed[0]["kind"] == "error"
-        rerun = ExperimentRunner(jobs=2, cache_dir=str(tmp_path), on_failure="record")
+        rerun = ExperimentRunner(
+            jobs=2, store=ResultStore(tmp_path), on_failure="record"
+        )
         results = rerun.map(_behave, points, label="pt")
         assert results[0] == 2 and results[2] == 6
         assert rerun.cache_hits == 2  # nothing recomputed
 
     def test_sigkilled_worker_is_a_crash_not_an_abort(self, tmp_path):
         runner = ExperimentRunner(
-            jobs=2, cache_dir=str(tmp_path), on_failure="record"
+            jobs=2, store=ResultStore(tmp_path), on_failure="record"
         )
         results = runner.map(
             _behave, [("ok", 1), ("sigkill", None), ("ok", 3)], label="pt"
@@ -91,7 +93,7 @@ class TestFailureIsolation:
     @pytest.mark.timeout_guard(60)
     def test_hung_worker_is_terminated_at_the_deadline(self, tmp_path):
         runner = ExperimentRunner(
-            jobs=2, cache_dir=str(tmp_path), timeout=1.0, on_failure="record"
+            jobs=2, store=ResultStore(tmp_path), timeout=1.0, on_failure="record"
         )
         t0 = time.monotonic()
         results = runner.map(
@@ -215,19 +217,19 @@ class TestJournalAndResume:
         # "Kill" = a batch where one point crashes hard; the survivors
         # must already be on disk when the crash is reported.
         first = ExperimentRunner(
-            jobs=2, cache_dir=str(tmp_path), on_failure="record"
+            jobs=2, store=ResultStore(tmp_path), on_failure="record"
         )
         first.map(_behave, [("ok", 1), ("sigkill", None), ("ok", 3)], label="pt")
         resumed = ExperimentRunner(
-            jobs=2, cache_dir=str(tmp_path), resume=True, on_failure="record"
+            jobs=2, store=ResultStore(tmp_path), on_failure="record"
         )
         results = resumed.map(_behave, [("ok", 1), ("ok", 3)], label="pt")
         assert results == [2, 6]
         assert resumed.cache_misses == 0, "a completed point was recomputed"
-        assert resumed.resumed_points == 2
+        assert resumed.cache_hits == 2
 
     def test_journal_survives_torn_writes(self, tmp_path):
-        runner = ExperimentRunner(jobs=1, cache_dir=str(tmp_path))
+        runner = ExperimentRunner(jobs=1, store=ResultStore(tmp_path))
         runner.map(_behave, [("ok", 1)], label="pt")
         with open(runner.journal_path, "a") as f:
             f.write('{"key": "half-written')  # no newline, invalid JSON
@@ -242,34 +244,32 @@ class TestJournalAndResume:
 
 class TestCorruptCacheQuarantine:
     def test_corrupt_entry_is_quarantined_and_recomputed(self, tmp_path):
-        runner = ExperimentRunner(jobs=1, cache_dir=str(tmp_path))
+        runner = ExperimentRunner(jobs=1, store=ResultStore(tmp_path))
         runner.map(_behave, [("ok", 5)], label="pt")
         key = runner._key(_behave, ("ok", 5))
-        with open(runner._cache_path(key), "wb") as f:
-            f.write(b"this is not a pickle")
-        fresh = ExperimentRunner(jobs=1, cache_dir=str(tmp_path))
-        with pytest.warns(RuntimeWarning, match="quarantined"):
-            results = fresh.map(_behave, [("ok", 5)], label="pt")
+        path = runner.store.record_path(key)
+        with open(path, "wb") as f:
+            f.write(b"this is not a record")
+        fresh = ExperimentRunner(jobs=1, store=ResultStore(tmp_path))
+        results = fresh.map(_behave, [("ok", 5)], label="pt")
         assert results == [10]
-        assert fresh.corrupt_cache_entries == 1
-        assert os.path.exists(os.path.join(str(tmp_path), f"{key}.corrupt"))
+        assert fresh.cache_misses == 1
+        assert fresh.store.corrupt_records == 1
+        assert os.path.exists(path[: -len(".rec")] + ".corrupt")
         # The recomputed result was re-published under the original key.
-        with open(runner._cache_path(key), "rb") as f:
-            assert pickle.load(f) == 10
-        assert "corrupt_cache_entries=1" in fresh.render_report()
+        assert ResultStore(tmp_path).get(key) == (True, 10)
 
-    def test_warning_fires_once_per_runner(self, tmp_path):
-        runner = ExperimentRunner(jobs=1, cache_dir=str(tmp_path))
+    def test_every_corrupt_record_is_counted(self, tmp_path):
+        runner = ExperimentRunner(jobs=1, store=ResultStore(tmp_path))
         points = [("ok", 5), ("ok", 6)]
         runner.map(_behave, points, label="pt")
         for p in points:
-            with open(runner._cache_path(runner._key(_behave, p)), "wb") as f:
+            with open(runner.store.record_path(runner._key(_behave, p)), "wb") as f:
                 f.write(b"garbage")
-        fresh = ExperimentRunner(jobs=1, cache_dir=str(tmp_path))
-        with pytest.warns(RuntimeWarning) as record:
-            fresh.map(_behave, points, label="pt")
-        assert len([w for w in record if w.category is RuntimeWarning]) == 1
-        assert fresh.corrupt_cache_entries == 2
+        fresh = ExperimentRunner(jobs=1, store=ResultStore(tmp_path))
+        assert fresh.map(_behave, points, label="pt") == [10, 12]
+        assert fresh.store.corrupt_records == 2
+        assert fresh.cache_misses == 2
 
 
 class TestFromEnvValidation:
@@ -290,7 +290,8 @@ class TestFromEnvValidation:
         runner = ExperimentRunner.from_env()
         assert runner.timeout == 2.5
         assert runner.retries == 3
-        assert runner.resume is True
+        # REPRO_RESUME drives campaign checkpoint resume, not the runner.
+        assert checkpoint_options_from_env()["resume"] is True
 
     @pytest.mark.parametrize(
         "var,value,match",
@@ -304,8 +305,10 @@ class TestFromEnvValidation:
     )
     def test_garbage_values_name_the_variable(self, monkeypatch, var, value, match):
         monkeypatch.setenv(var, value)
+        reader = (checkpoint_options_from_env if var == "REPRO_RESUME"
+                  else ExperimentRunner.from_env)
         with pytest.raises(ValueError, match=match):
-            ExperimentRunner.from_env()
+            reader()
 
     def test_constructor_validates_too(self):
         with pytest.raises(ValueError, match="jobs"):
@@ -380,7 +383,7 @@ class TestCampaignCheckpointing:
         assert resumed == run_campaign(SPEC)
 
     def test_checkpoint_flags_do_not_change_cache_keys(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=str(tmp_path))
+        runner = ExperimentRunner(store=ResultStore(tmp_path))
         wrapped = CheckpointedCampaign(100, str(tmp_path), resume=True)
         assert runner._key(run_campaign, SPEC) == runner._key(wrapped, SPEC)
 
@@ -389,14 +392,14 @@ class TestCampaignCheckpointing:
         ckpts = str(tmp_path / "ckpts")
         first = FaultCampaign(
             [SPEC],
-            runner=ExperimentRunner(jobs=2, cache_dir=cache),
+            runner=ExperimentRunner(jobs=2, store=ResultStore(cache)),
             checkpoint_every=200,
             checkpoint_dir=ckpts,
         )
         want = first.run()
         second = FaultCampaign(
             [SPEC],
-            runner=ExperimentRunner(jobs=2, cache_dir=cache, resume=True),
+            runner=ExperimentRunner(jobs=2, store=ResultStore(cache)),
             checkpoint_every=200,
             checkpoint_dir=ckpts,
             resume=True,
@@ -465,7 +468,7 @@ class TestSweepUnderInjectedFailures:
                          measure_cycles=400, seed=2, label="healthy-2"),
         ]
         runner = ExperimentRunner(
-            jobs=2, cache_dir=str(tmp_path / "cache"), retries=1, backoff=0.05
+            jobs=2, store=ResultStore(tmp_path / "cache"), retries=1, backoff=0.05
         )
         results = runner.map(_sweep_point, specs, label="campaign")
         assert [r.label for r in results] == ["healthy-1", "flaky-once", "healthy-2"]

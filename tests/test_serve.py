@@ -158,6 +158,22 @@ class TestQueryEngine:
         text = result.render()
         assert "best (area)" in text and "miss(es)" in text
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_non_positive_workers_rejected(self, tmp_path, workers):
+        with pytest.raises(ValueError, match="workers must be a positive"):
+            QueryEngine(ResultStore(tmp_path / "store"), workers=workers)
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_cli_rejects_non_positive_serve_workers(self, tmp_path, capsys,
+                                                    workers):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--store", str(tmp_path / "store"),
+                  "--serve-workers", workers])
+        assert exc.value.code == 2
+        assert "--serve-workers must be >= 1" in capsys.readouterr().err
+
     def test_metrics_mirrored(self, tmp_path):
         metrics = MetricsRegistry()
         store = ResultStore(tmp_path / "store", metrics=metrics)

@@ -238,18 +238,6 @@ class TestRunnerIntegration:
         assert second.map(_square, [2, 3]) == [4, 9]
         assert second.cache_hits == 2 and second.cache_misses == 0
 
-    def test_store_and_cache_dir_both_publish(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        runner = ExperimentRunner(
-            store=store, cache_dir=str(tmp_path / "cache")
-        )
-        runner.map(_square, [5])
-        assert len(store) == 1
-        # Local pickles exist alongside the shared records.
-        assert any(
-            name.endswith(".pkl") for name in os.listdir(tmp_path / "cache")
-        )
-
     def test_report_names_the_store(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         runner = ExperimentRunner(store=store)
